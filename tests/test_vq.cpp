@@ -4,11 +4,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "gs/sh.hpp"
 #include "scene/generator.hpp"
+#include "scene/presets.hpp"
 #include "vq/codebook.hpp"
 #include "vq/kmeans.hpp"
 #include "vq/quantized_model.hpp"
@@ -361,6 +364,85 @@ TEST(QuantizedModel, FileRoundTripAndBadInputs) {
   junk.write("JUNKJUNKJUNK", 12);
   EXPECT_THROW(QuantizedModel::load(junk), std::runtime_error);
 }
+
+// ----------------------------------------------------------------- golden --
+
+// 64-bit FNV-1a over the four codebooks' raw float bits and every
+// QuantizedIndices record, in that order.
+std::uint64_t quantized_model_hash(const QuantizedModel& qm) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Codebook* cb : {&qm.scale_codebook(), &qm.rotation_codebook(),
+                             &qm.dc_codebook(), &qm.sh_codebook()}) {
+    mix(cb->dim(), 4);
+    mix(cb->size(), 4);
+    for (const float f : cb->raw()) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &f, sizeof(bits));
+      mix(bits, 4);
+    }
+  }
+  for (std::uint32_t i = 0; i < qm.size(); ++i) {
+    const QuantizedIndices& q = qm.indices(i);
+    mix(q.scale, 2);
+    mix(q.rotation, 2);
+    mix(q.dc, 2);
+    mix(q.sh, 2);
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  scene::ScenePreset preset;
+  float scale;
+  std::uint64_t generator_seed;  // 0 = the preset's own seed
+  std::uint64_t expected;
+};
+
+// Pinned on the brute-force trainer: codebook training must reproduce it
+// bit for bit (docs/ARCHITECTURE.md, invariant 6). The train x0.01 seed 1
+// model is the e2ebench ooc_walk input; the presets run at x0.002.
+constexpr GoldenCase kGoldenCases[] = {
+    {"train_x0.01_seed1", scene::ScenePreset::kTrain, 0.01f, 1,
+     0x0229eafff3c274a8ull},
+    {"lego", scene::ScenePreset::kLego, 0.002f, 0,
+     0xba705b5d22804657ull},
+    {"palace", scene::ScenePreset::kPalace, 0.002f, 0,
+     0x7c12aa17cec8f693ull},
+    {"train", scene::ScenePreset::kTrain, 0.002f, 0,
+     0x28be5aeaf7993a07ull},
+    {"truck", scene::ScenePreset::kTruck, 0.002f, 0,
+     0x299bad3cae89b297ull},
+    {"playroom", scene::ScenePreset::kPlayroom, 0.002f, 0,
+     0x55f8e71a57250dbbull},
+    {"drjohnson", scene::ScenePreset::kDrjohnson, 0.002f, 0,
+     0xfc0364c687cbdaf4ull},
+};
+
+class CodebookGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(CodebookGolden, DefaultConfigBuildHashes) {
+  const int saved = parallelism();
+  set_parallelism(GetParam());
+  for (const GoldenCase& c : kGoldenCases) {
+    scene::GeneratorConfig gen = scene::preset_generator_config(c.preset, c.scale);
+    if (c.generator_seed != 0) gen.seed = c.generator_seed;
+    const gs::GaussianModel model = scene::generate_scene(gen);
+    const QuantizedModel qm = QuantizedModel::build(model, VqConfig{});
+    const std::uint64_t h = quantized_model_hash(qm);
+    EXPECT_EQ(h, c.expected) << c.name << " (" << model.size()
+                             << " Gaussians): 0x" << std::hex << h;
+  }
+  set_parallelism(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolWidths, CodebookGolden, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace sgs::vq
