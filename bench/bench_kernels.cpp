@@ -7,8 +7,9 @@
 // BENCH_kernels.json (flat key/value, schema in docs/BENCHMARKS.md): the
 // per-kernel scalar-vs-SIMD and SoA-vs-AoS numbers CI smokes and uploads.
 // The pass double-checks that scalar and SIMD outputs agree within
-// kSimdAbsTolerance and exits non-zero when they do not, so the smoke step
-// is a correctness gate as well as a trend file.
+// kSimdAbsTolerance, and that the pruned VQ assignment equals brute force
+// bitwise, and exits non-zero when they do not, so the smoke step is a
+// correctness gate as well as a trend file.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--json_only]
 //                   [google-benchmark flags...]
@@ -408,7 +409,8 @@ double best_ms(Fn&& fn, int reps = 7) {
 }
 
 // Times the scalar-vs-SIMD comparison pass, verifies the tolerance contract
-// on the way, and writes the flat JSON. Returns false on a kernel mismatch.
+// on the way, times brute-force vs pruned VQ assignment (which must agree
+// bitwise), and writes the flat JSON. Returns false on a kernel mismatch.
 bool emit_kernels_json(const std::string& out_path) {
   const auto model = bench_model(4096);
   const auto cols = bench_columns(model);
@@ -555,6 +557,51 @@ bool emit_kernels_json(const std::string& out_path) {
   match = match && std::memcmp(dst_scalar.data(), dst_simd.data(),
                                dst_scalar.size() * sizeof(float)) == 0;
 
+  // VQ nearest-centroid assignment: brute force vs the exact pruned search
+  // codebook training uses (bitwise contract). Centroids are the first k
+  // records' scale (3-D) or SH-rest (45-D) vectors, queries the next 4096.
+  const auto vq_model = bench_model(8192);
+  const auto group = [&](std::size_t dim, std::size_t first, std::size_t count) {
+    std::vector<float> out;
+    out.reserve(count * dim);
+    for (std::size_t i = first; i < first + count; ++i) {
+      const gs::Gaussian& g = vq_model.gaussians[i];
+      if (dim == 3) {
+        out.insert(out.end(), {g.scale.x, g.scale.y, g.scale.z});
+      } else {
+        for (int c = 1; c < gs::kShCoeffCount; ++c) {
+          out.insert(out.end(), {g.sh[c].x, g.sh[c].y, g.sh[c].z});
+        }
+      }
+    }
+    return out;
+  };
+  struct AssignRow {
+    double brute_ms, pruned_ms;
+  };
+  bool assign_match = true;
+  const auto assign_row = [&](std::size_t dim, std::size_t k) {
+    const std::size_t queries = 4096;
+    const auto centroids = group(dim, 0, k);
+    const auto points = group(dim, k, queries);
+    std::vector<std::uint32_t> brute(queries), pruned(queries);
+    AssignRow row;
+    row.brute_ms = best_ms([&] {
+      for (std::size_t i = 0; i < queries; ++i) {
+        brute[i] = vq::nearest_centroid(centroids, dim, {points.data() + i * dim, dim});
+      }
+    });
+    // One worker, like the brute-force loop: the row times the search.
+    const int saved = parallelism();
+    set_parallelism(1);
+    row.pruned_ms = best_ms([&] { vq::assign_nearest(centroids, dim, points, pruned); });
+    set_parallelism(saved);
+    assign_match = assign_match && brute == pruned;
+    return row;
+  };
+  const AssignRow assign_d3 = assign_row(3, 4096);
+  const AssignRow assign_d45 = assign_row(45, 512);
+
   const auto speedup = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
   std::ofstream json(out_path);
   json << "{\n"
@@ -582,11 +629,21 @@ bool emit_kernels_json(const std::string& out_path) {
        << "  \"vq_gather_simd_ms\": " << gather_simd_ms << ",\n"
        << "  \"vq_gather_simd_speedup\": "
        << speedup(gather_scalar_ms, gather_simd_ms) << ",\n"
+       << "  \"vq_assign_d3_brute_ms\": " << assign_d3.brute_ms << ",\n"
+       << "  \"vq_assign_d3_pruned_ms\": " << assign_d3.pruned_ms << ",\n"
+       << "  \"vq_assign_d3_speedup\": "
+       << speedup(assign_d3.brute_ms, assign_d3.pruned_ms) << ",\n"
+       << "  \"vq_assign_d45_brute_ms\": " << assign_d45.brute_ms << ",\n"
+       << "  \"vq_assign_d45_pruned_ms\": " << assign_d45.pruned_ms << ",\n"
+       << "  \"vq_assign_d45_speedup\": "
+       << speedup(assign_d45.brute_ms, assign_d45.pruned_ms) << ",\n"
+       << "  \"vq_assign_match\": " << (assign_match ? "true" : "false") << ",\n"
        << "  \"kernels_match\": " << (match ? "true" : "false") << "\n"
        << "}\n";
-  std::printf("wrote %s (isa %s, kernels_match %s)\n", out_path.c_str(),
-              simd::isa_name(top), match ? "true" : "false");
-  return match;
+  std::printf("wrote %s (isa %s, kernels_match %s, vq_assign_match %s)\n",
+              out_path.c_str(), simd::isa_name(top), match ? "true" : "false",
+              assign_match ? "true" : "false");
+  return match && assign_match;
 }
 
 }  // namespace
@@ -612,7 +669,8 @@ int main(int argc, char** argv) {
 
   if (!emit_kernels_json(out_path)) {
     std::fprintf(stderr, "FAILED: scalar-vs-SIMD kernel outputs diverged "
-                         "beyond the tolerance contract\n");
+                         "beyond the tolerance contract, or the pruned VQ "
+                         "assignment differs from brute force\n");
     return 1;
   }
   if (json_only) return 0;

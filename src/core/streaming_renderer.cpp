@@ -4,11 +4,14 @@
 
 #include "core/frame_plan.hpp"
 #include "core/frame_scheduler.hpp"
+#include "obs/trace.hpp"
 
 namespace sgs::core {
 
 StreamingScene StreamingScene::prepare(const gs::GaussianModel& model,
                                        const StreamingConfig& config) {
+  SGS_TRACE_SPAN("prepare", "prepare", "gaussians", model.size(), "vq",
+                 config.use_vq ? 1 : 0);
   StreamingScene scene;
   scene.config_ = config;
   scene.original_model_ = model;

@@ -64,36 +64,12 @@ TrainedCodebook train_group(const gs::GaussianModel& model, int which,
   kc.max_iters = cfg.kmeans_iters;
   kc.max_train_samples = cfg.max_train_samples;
   kc.seed = cfg.seed + static_cast<std::uint64_t>(which) * 101;
-  TrainedCodebook tc = train_codebook(data, dim, kc);
-
-  // Quantization-aware refinement: full-data Lloyd passes. Each pass is a
-  // kmeans run seeded implicitly by re-running with more data; we emulate by
-  // re-running assignment+update manually.
-  for (int r = 0; r < cfg.refine_iters; ++r) {
-    const std::size_t k = tc.codebook.size();
-    const std::size_t n = data.size() / dim;
-    std::vector<double> sums(k * dim, 0.0);
-    std::vector<std::size_t> counts(k, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t c = tc.assignment[i];
-      ++counts[c];
-      for (std::size_t d = 0; d < dim; ++d) {
-        sums[static_cast<std::size_t>(c) * dim + d] += data[i * dim + d];
-      }
-    }
-    std::vector<float> entries_new(tc.codebook.raw().begin(), tc.codebook.raw().end());
-    for (std::size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) continue;
-      for (std::size_t d = 0; d < dim; ++d) {
-        entries_new[c * dim + d] =
-            static_cast<float>(sums[c * dim + d] / static_cast<double>(counts[c]));
-      }
-    }
-    tc.codebook = Codebook(dim, std::move(entries_new));
-    for (std::size_t i = 0; i < n; ++i) {
-      tc.assignment[i] = tc.codebook.nearest({data.data() + i * dim, dim});
-    }
-  }
+  // Quantization-aware refinement: full-data Lloyd passes after training.
+  KMeansResult r = kmeans_refined(data, dim, kc, cfg.refine_iters);
+  TrainedCodebook tc;
+  tc.codebook = Codebook(dim, std::move(r.centroids));
+  tc.assignment = std::move(r.assignment);
+  tc.inertia = r.inertia;
   return tc;
 }
 
