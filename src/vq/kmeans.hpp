@@ -7,12 +7,14 @@
 // k-means++ seeding, then Lloyd steps that assign every point to the first
 // strict minimum of nearest_centroid()'s distance and move each centroid to
 // the mean of its points — with the same centroids, assignments and
-// iters_run. It is independent of thread count: every assignment is a
-// per-point decision, and the centroid update and the seeding total and
-// pick scans run serially in index order. The one place the pool width
-// enters is the inertia behind the `tol` stop, summed per chunk of
-// ceil(n / parallelism()) points in chunk order, exactly as the reference
-// does (tests/test_vq.cpp pins the goldens at widths 1 and 4).
+// iters_run, at every pool width. Assignments are per-point decisions, and
+// the centroid update and the seeding total and pick scans run serially in
+// index order, so none depends on the thread count. The pool width enters
+// only the inertia behind the `tol` stop, summed per chunk of
+// ceil(n / parallelism()) points in chunk order exactly as the reference
+// sums it; results differ between widths only where a stop decision sits
+// within rounding of its threshold (tests/test_vq.cpp pins the goldens at
+// widths 1 and 4).
 //
 // The nearest-centroid searches are exact and pruned. Every distance that
 // decides an assignment is the same scalar double sum over dimensions in
