@@ -10,10 +10,13 @@
 // link attributes every error to exactly the session that paid it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/render_sequence.hpp"
@@ -104,6 +107,86 @@ TEST(MemoryBackend, RoundTripsBytesAndRejectsOutOfRange) {
   EXPECT_EQ(bad.error().kind, StreamErrorKind::kIoRead);
   EXPECT_EQ(mem->stats().requests, 2u);
   EXPECT_EQ(mem->stats().partial_reads, 1u);
+}
+
+// -------------------------------------------------------- LocalFileBackend --
+
+TEST(LocalFileBackend, ConcurrentPositionalReadsMatchMemoryBackend) {
+  const auto scene = test_scene(59, 2500);
+  TempFile file("/tmp/sgs_test_net_pread.sgsc");
+  AssetStoreWriteOptions wopts;
+  wopts.tier_count = 3;
+  ASSERT_TRUE(AssetStore::write(file.path, scene, wopts));
+  StreamError err;
+  const auto mem = MemoryBackend::from_file(file.path, &err);
+  ASSERT_NE(mem, nullptr) << err.to_string();
+  LocalFileBackend local(file.path);
+  ASSERT_FALSE(local.open_error().has_value());
+  ASSERT_EQ(local.size(), mem->size());
+  const std::uint64_t size = local.size();
+  ASSERT_GT(size, 4096u);
+
+  // 8 threads, each a seeded stream of ranges (some empty, some reaching
+  // the last byte), compared byte for byte with the in-memory image.
+  constexpr int kThreads = 8;
+  constexpr int kReadsPerThread = 400;
+  std::vector<std::uint64_t> bytes_read(kThreads, 0);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(t + 1);
+      auto draw = [&x](std::uint64_t bound) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return (x >> 33) % bound;
+      };
+      std::vector<char> got, want;
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        const std::uint64_t offset = draw(size + 1);
+        std::uint64_t len = draw(std::min<std::uint64_t>(size - offset, 8192) + 1);
+        if (i % 50 == 0) len = size - offset;  // up to the very last byte
+        got.assign(len, 0);
+        want.assign(len, 1);
+        const auto a = local.read_range(offset, std::span<char>(got));
+        const auto b = mem->read_range(offset, std::span<char>(want));
+        if (!a.ok() || !b.ok() || a.value().bytes != len || got != want) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        bytes_read[static_cast<std::size_t>(t)] += len;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::uint64_t total = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+    total += bytes_read[static_cast<std::size_t>(t)];
+  }
+  const FetchBackendStats s = local.stats();
+  EXPECT_EQ(s.requests, std::uint64_t{kThreads} * kReadsPerThread);
+  EXPECT_EQ(s.bytes, total);
+  EXPECT_EQ(s.partial_reads, 0u);
+
+  // A read past the end is a typed short read, counted once.
+  std::vector<char> tail(64);
+  const auto past = local.read_range(size - 16, std::span<char>(tail));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.error().kind, StreamErrorKind::kIoRead);
+  EXPECT_NE(past.error().detail.find("short read: 16 of 64 bytes"),
+            std::string::npos)
+      << past.error().detail;
+  EXPECT_EQ(local.stats().partial_reads, 1u);
+  EXPECT_EQ(local.stats().requests, s.requests + 1);
+  EXPECT_EQ(local.stats().bytes, total);
+
+  // A missing file fails at open with a typed error, and so does every read.
+  LocalFileBackend missing("/tmp/sgs_test_net_pread_missing.sgsc");
+  ASSERT_TRUE(missing.open_error().has_value());
+  EXPECT_EQ(missing.open_error()->kind, StreamErrorKind::kIoOpen);
+  EXPECT_EQ(missing.size(), 0u);
+  const auto r = missing.read_range(0, std::span<char>(tail));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, StreamErrorKind::kIoOpen);
 }
 
 // ------------------------------------------------- SimulatedNetworkBackend --

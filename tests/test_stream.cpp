@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <list>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -22,6 +23,7 @@
 #include "metrics/psnr.hpp"
 #include "scene/generator.hpp"
 #include "stream/asset_store.hpp"
+#include "stream/fetch_backend.hpp"
 #include "stream/lod_policy.hpp"
 #include "stream/residency_cache.hpp"
 #include "stream/streaming_loader.hpp"
@@ -660,6 +662,281 @@ TEST(ResidencyCache, PrefetchUpgradesUnpinnedGroupsOnly) {
   EXPECT_EQ(s.tier_prefetches[0], 2u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.upgrades, 0u);  // upgrades counts demand refetches only
+}
+
+// Reference model of strict-LRU residency as a list walk: a recency list
+// (front = most recent) that eviction walks from the back, skipping
+// protected groups, until residency fits the budget. It models the healthy
+// single-threaded path only (no fetch errors, deadlines or floor), sized
+// from the store's own decoded and payload byte counts.
+class LruListReference {
+ public:
+  explicit LruListReference(const AssetStore& store, std::uint64_t budget)
+      : store_(store), slots_(static_cast<std::size_t>(store.group_count())),
+        budget_(budget) {}
+
+  struct Acquired {
+    bool missed = false;
+    bool upgraded = false;
+    int served_tier = 0;
+  };
+
+  Acquired acquire(voxel::DenseVoxelId v, int tier) {
+    Slot& s = slot(v);
+    Acquired out;
+    if (s.resident && s.tier <= tier) {
+      ++stats_.hits;
+      ++stats_.tier_hits[static_cast<std::size_t>(s.tier)];
+    } else {
+      ++stats_.misses;
+      ++stats_.tier_misses[static_cast<std::size_t>(tier)];
+      out.upgraded = s.resident;
+      if (out.upgraded) ++stats_.upgrades;
+      fetch(v, tier);
+      out.missed = true;
+    }
+    ++s.pins;
+    touch(v);
+    if (out.missed) evict();
+    out.served_tier = s.tier;
+    return out;
+  }
+
+  void release(voxel::DenseVoxelId v) { --slot(v).pins; }
+
+  PrefetchResult prefetch(voxel::DenseVoxelId v, int tier) {
+    const Slot& s = slot(v);
+    if (s.resident && (s.tier <= tier || s.pins > 0)) {
+      return PrefetchResult::kSkipped;
+    }
+    fetch(v, tier);
+    ++stats_.prefetches;
+    ++stats_.tier_prefetches[static_cast<std::size_t>(tier)];
+    evict();
+    return PrefetchResult::kFetched;
+  }
+
+  void pin_plan(const std::vector<voxel::DenseVoxelId>& vs) {
+    for (const voxel::DenseVoxelId v : vs) ++slot(v).plan_pins;
+  }
+  void unpin_plan(const std::vector<voxel::DenseVoxelId>& vs) {
+    for (const voxel::DenseVoxelId v : vs) --slot(v).plan_pins;
+    evict();
+  }
+  void set_budget(std::uint64_t budget) {
+    budget_ = budget;
+    evict();
+  }
+
+  int pins(voxel::DenseVoxelId v) const { return slot(v).pins; }
+  int resident_tier(voxel::DenseVoxelId v) const {
+    return slot(v).resident ? slot(v).tier : -1;
+  }
+  std::vector<std::uint8_t> tier_snapshot() const {
+    std::vector<std::uint8_t> out(slots_.size(), ResidencyCache::kTierAbsent);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].resident) out[i] = static_cast<std::uint8_t>(slots_[i].tier);
+    }
+    return out;
+  }
+  std::uint64_t resident_bytes() const { return resident_bytes_; }
+  const core::StreamCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Slot {
+    bool resident = false;
+    int tier = 0;
+    int pins = 0;
+    int plan_pins = 0;
+    std::uint64_t bytes = 0;
+    std::list<voxel::DenseVoxelId>::iterator it;
+  };
+
+  Slot& slot(voxel::DenseVoxelId v) {
+    return slots_[static_cast<std::size_t>(v)];
+  }
+  const Slot& slot(voxel::DenseVoxelId v) const {
+    return slots_[static_cast<std::size_t>(v)];
+  }
+
+  // A first residency enters at the front; an upgrade keeps its position.
+  void fetch(voxel::DenseVoxelId v, int tier) {
+    Slot& s = slot(v);
+    if (s.resident) {
+      resident_bytes_ -= s.bytes;
+    } else {
+      s.resident = true;
+      lru_.push_front(v);
+      s.it = lru_.begin();
+    }
+    s.tier = tier;
+    s.bytes = store_.read_group(v, tier).resident_bytes();
+    resident_bytes_ += s.bytes;
+    const std::uint64_t payload = store_.tier_extent(v, tier).bytes;
+    stats_.bytes_fetched += payload;
+    stats_.tier_bytes_fetched[static_cast<std::size_t>(tier)] += payload;
+    stats_.net_bytes += payload;
+  }
+
+  void touch(voxel::DenseVoxelId v) {
+    Slot& s = slot(v);
+    lru_.erase(s.it);
+    lru_.push_front(v);
+    s.it = lru_.begin();
+  }
+
+  void evict() {
+    auto it = lru_.end();
+    while (resident_bytes_ > budget_ && it != lru_.begin()) {
+      --it;
+      Slot& s = slot(*it);
+      if (s.pins > 0 || s.plan_pins > 0) continue;
+      resident_bytes_ -= s.bytes;
+      s.resident = false;
+      s.bytes = 0;
+      it = lru_.erase(it);
+      ++stats_.evictions;
+    }
+  }
+
+  const AssetStore& store_;
+  std::vector<Slot> slots_;
+  std::list<voxel::DenseVoxelId> lru_;
+  std::uint64_t budget_;
+  std::uint64_t resident_bytes_ = 0;
+  core::StreamCacheStats stats_;
+};
+
+void expect_stats_equal(const core::StreamCacheStats& got,
+                        const core::StreamCacheStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.prefetches, want.prefetches);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.bytes_fetched, want.bytes_fetched);
+  EXPECT_EQ(got.tier_hits, want.tier_hits);
+  EXPECT_EQ(got.tier_misses, want.tier_misses);
+  EXPECT_EQ(got.tier_prefetches, want.tier_prefetches);
+  EXPECT_EQ(got.tier_bytes_fetched, want.tier_bytes_fetched);
+  EXPECT_EQ(got.upgrades, want.upgrades);
+  EXPECT_EQ(got.fetch_errors, want.fetch_errors);
+  EXPECT_EQ(got.degraded_groups, want.degraded_groups);
+  EXPECT_EQ(got.failed_groups, want.failed_groups);
+  EXPECT_EQ(got.coarse_fallbacks, want.coarse_fallbacks);
+  EXPECT_EQ(got.net_bytes, want.net_bytes);
+  // An in-memory store transfers in zero time, so this is exact too.
+  EXPECT_EQ(got.net_stall_ns, want.net_stall_ns);
+}
+
+TEST(ResidencyCache, EvictionMatchesStrictLruReference) {
+  const auto scene = test_scene(27, 3000, /*vq=*/false);
+  TempFile file("/tmp/sgs_test_lru_ref.sgsc");
+  AssetStoreWriteOptions wopts;
+  wopts.tier_count = 3;
+  ASSERT_TRUE(AssetStore::write(file.path, scene, wopts));
+  AssetStore store(MemoryBackend::from_file(file.path));
+  const int n = store.group_count();
+  ASSERT_GE(n, 40);
+
+  const std::uint64_t total = store.decoded_bytes_total();
+  ResidencyCacheConfig cfg;
+  cfg.budget_bytes = total / 4;
+  ResidencyCache cache(store, cfg);
+  LruListReference ref(store, cfg.budget_bytes);
+
+  std::uint64_t x = 0x5eed1234ull;
+  auto draw = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % bound;
+  };
+  auto group = [&] { return static_cast<voxel::DenseVoxelId>(draw(n)); };
+  // Skewed toward a hot third so hits, touches and re-fetches all happen.
+  auto hot_group = [&] {
+    return draw(3) == 0 ? group()
+                        : static_cast<voxel::DenseVoxelId>(draw(n / 3));
+  };
+
+  std::vector<voxel::DenseVoxelId> held;  // outstanding acquires
+  std::vector<std::vector<voxel::DenseVoxelId>> plans;  // outstanding pins
+  std::uint64_t ops = 0, upgrades = 0, shrinks = 0, grows = 0, plan_ops = 0;
+  for (int step = 0; step < 6000; ++step) {
+    std::uint64_t op = draw(100);
+    if (op < 40 && held.size() >= 6) op = 40;  // release instead
+    if (op < 40) {
+      // acquire_outcome at a mixed tier. An upgrade of a group this trace
+      // still holds would wait for its own release, so such a request is
+      // served at the held tier instead.
+      const voxel::DenseVoxelId v = hot_group();
+      int tier = static_cast<int>(draw(3));
+      if (ref.pins(v) > 0 && ref.resident_tier(v) > tier) {
+        tier = ref.resident_tier(v);
+      }
+      const auto want = ref.acquire(v, tier);
+      const AcquireOutcome got = cache.acquire_outcome(v, tier);
+      ASSERT_EQ(got.missed, want.missed) << "step " << step;
+      ASSERT_EQ(got.upgraded, want.upgraded) << "step " << step;
+      ASSERT_EQ(got.served_tier, want.served_tier) << "step " << step;
+      upgrades += want.upgraded ? 1 : 0;
+      held.push_back(v);
+    } else if (op < 65) {
+      if (held.empty()) continue;
+      const std::size_t k = draw(held.size());
+      const voxel::DenseVoxelId v = held[k];
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+      ref.release(v);
+      cache.release(v);
+    } else if (op < 80) {
+      // Prefetch leans to the cheap tiers, so later demand upgrades them.
+      const voxel::DenseVoxelId v = hot_group();
+      const int tier = 1 + static_cast<int>(draw(2));
+      ASSERT_EQ(cache.prefetch_checked(v, tier), ref.prefetch(v, tier))
+          << "step " << step;
+    } else if (op < 88) {
+      if (plans.size() >= 3) continue;
+      std::vector<voxel::DenseVoxelId> plan;
+      const std::uint64_t size = 1 + draw(static_cast<std::uint64_t>(n) / 8);
+      for (std::uint64_t i = 0; i < size; ++i) plan.push_back(hot_group());
+      ref.pin_plan(plan);
+      cache.pin_plan(plan);
+      plans.push_back(std::move(plan));
+      ++plan_ops;
+    } else if (op < 96) {
+      if (plans.empty()) continue;
+      const std::size_t k = draw(plans.size());
+      ref.unpin_plan(plans[k]);
+      cache.unpin_plan(plans[k]);
+      plans.erase(plans.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      // Shrink and grow, between a tenth and three fifths of the scene.
+      const std::uint64_t budget = total / 10 + draw(total / 2);
+      (budget < cache.budget_bytes() ? shrinks : grows) += 1;
+      ref.set_budget(budget);
+      cache.set_budget_bytes(budget);
+    }
+    ++ops;
+    ASSERT_EQ(cache.tier_snapshot(), ref.tier_snapshot()) << "step " << step;
+    ASSERT_EQ(cache.resident_bytes(), ref.resident_bytes()) << "step " << step;
+  }
+  for (const voxel::DenseVoxelId v : held) {
+    ref.release(v);
+    cache.release(v);
+  }
+  for (const auto& plan : plans) {
+    ref.unpin_plan(plan);
+    cache.unpin_plan(plan);
+  }
+  EXPECT_EQ(cache.tier_snapshot(), ref.tier_snapshot());
+  expect_stats_equal(cache.stats(), ref.stats());
+
+  // The trace exercised what it claims to: evictions under pins, demand
+  // upgrades, and budget moves both ways.
+  EXPECT_GT(ops, 5000u);
+  EXPECT_GT(ref.stats().evictions, 1000u);
+  EXPECT_GT(ref.stats().prefetches, 300u);
+  EXPECT_GT(upgrades, 100u);
+  EXPECT_GT(plan_ops, 200u);
+  EXPECT_GT(shrinks, 50u);
+  EXPECT_GT(grows, 50u);
 }
 
 // -------------------------------------------------------------- LodPolicy --
