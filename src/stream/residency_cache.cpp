@@ -83,9 +83,10 @@ void ResidencyCache::begin_frame(
 }
 
 void ResidencyCache::end_frame() {
+  Evicted evicted(EvictReason::kUnpin);
   std::lock_guard<std::mutex> lk(mutex_);
   assert(bracket_active_ && "end_frame without begin_frame");
-  unpin_plan_locked(frame_pins_);
+  unpin_plan_locked(frame_pins_, evicted);
   frame_pins_.clear();
   bracket_active_ = false;
 }
@@ -102,30 +103,32 @@ void ResidencyCache::pin_plan(std::span<const voxel::DenseVoxelId> voxels) {
 }
 
 void ResidencyCache::unpin_plan(std::span<const voxel::DenseVoxelId> voxels) {
+  Evicted evicted(EvictReason::kUnpin);
   std::lock_guard<std::mutex> lk(mutex_);
   assert(!bracket_active_ &&
          "unpin_plan while a begin_frame/end_frame bracket is active — use "
          "one pinning path per cache");
-  unpin_plan_locked(voxels);
+  unpin_plan_locked(voxels, evicted);
 }
 
 void ResidencyCache::pin_plan_locked(
     std::span<const voxel::DenseVoxelId> voxels) {
   for (const voxel::DenseVoxelId v : voxels) {
-    ++entries_[static_cast<std::size_t>(v)].plan_pins;
+    Entry& e = entries_[static_cast<std::size_t>(v)];
+    if (++e.plan_pins == 1) sync_evictable_locked(e, v);
   }
 }
 
 void ResidencyCache::unpin_plan_locked(
-    std::span<const voxel::DenseVoxelId> voxels) {
+    std::span<const voxel::DenseVoxelId> voxels, Evicted& out) {
   for (const voxel::DenseVoxelId v : voxels) {
     Entry& e = entries_[static_cast<std::size_t>(v)];
     assert(e.plan_pins > 0);
-    --e.plan_pins;
+    if (--e.plan_pins == 0) sync_evictable_locked(e, v);
   }
   // Pins may have carried residency above budget; drain the overshoot now.
   // (Unconditional: a session that pinned nothing still gets the drain.)
-  evict_over_budget_locked();
+  evict_over_budget_locked(out);
 }
 
 GroupView ResidencyCache::acquire(voxel::DenseVoxelId v) {
@@ -134,6 +137,7 @@ GroupView ResidencyCache::acquire(voxel::DenseVoxelId v) {
 
 AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
                                                std::uint64_t deadline_ns) {
+  Evicted evicted(EvictReason::kFetch);
   std::unique_lock<std::mutex> lk(mutex_);
   Entry& e = entries_[static_cast<std::size_t>(v)];
   AcquireOutcome out;
@@ -229,13 +233,13 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
   }
   // Pin on every path — including degraded empty views and floor serves —
   // so the caller's unconditional release() stays balanced.
-  ++e.pins;
+  if (++e.pins == 1) sync_evictable_locked(e, v);
   if (e.resident) {
-    touch_locked(e, v);
+    e.stamp = ++clock_;  // pinned above, so not under an index key
     // Eviction runs only now, with the new entry pinned: with every other
     // group pinned the pass could otherwise evict the group this very call
     // just fetched (fetch_locked defers eviction for exactly that reason).
-    if (out.missed) evict_over_budget_locked();
+    if (out.missed) evict_over_budget_locked(evicted);
     if (fallback) {
       // Stale-tier fallback: served what is already here, no disk touch —
       // a hit at the stale tier (the caller paid no fetch). The front-end
@@ -287,9 +291,10 @@ void ResidencyCache::release(voxel::DenseVoxelId v) {
   // Degraded (empty-view) acquires pin non-resident entries, so residency
   // is not implied here — only pin balance is.
   assert(e.pins > 0);
-  --e.pins;
+  if (--e.pins > 0) return;
+  sync_evictable_locked(e, v);
   // An upgrade may be parked on this group waiting for views to drain.
-  if (e.pins == 0 && e.loading) cv_.notify_all();
+  if (e.loading) cv_.notify_all();
 }
 
 bool ResidencyCache::prefetch(voxel::DenseVoxelId v, int tier,
@@ -301,6 +306,7 @@ PrefetchResult ResidencyCache::prefetch_checked(voxel::DenseVoxelId v,
                                                 int tier,
                                                 std::uint64_t* fetched_bytes,
                                                 std::uint64_t* fetched_ns) {
+  Evicted evicted(EvictReason::kFetch);
   std::unique_lock<std::mutex> lk(mutex_);
   Entry& e = entries_[static_cast<std::size_t>(v)];
   if (e.loading) return PrefetchResult::kSkipped;
@@ -322,7 +328,7 @@ PrefetchResult ResidencyCache::prefetch_checked(voxel::DenseVoxelId v,
   }
   if (fetched_bytes != nullptr) *fetched_bytes = e.group.payload_bytes;
   if (fetched_ns != nullptr) *fetched_ns = e.group.fetch_ns;
-  evict_over_budget_locked();
+  evict_over_budget_locked(evicted);
   return PrefetchResult::kFetched;
 }
 
@@ -404,12 +410,13 @@ std::uint64_t ResidencyCache::budget_bytes() const {
 }
 
 void ResidencyCache::set_budget_bytes(std::uint64_t budget_bytes) {
+  Evicted evicted(EvictReason::kRebalance);
   std::lock_guard<std::mutex> lk(mutex_);
   budget_bytes_.store(budget_bytes, std::memory_order_relaxed);
   // A shrink takes effect now, not at the next fetch: the governor's
   // invariant is that shards sum to the global budget the moment a
   // rebalance returns (pinned in-flight working sets excepted, as always).
-  evict_over_budget_locked();
+  evict_over_budget_locked(evicted);
 }
 
 core::StreamCacheStats ResidencyCache::stats() const {
@@ -422,6 +429,7 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
                                   bool is_prefetch) {
   Entry& e = entries_[static_cast<std::size_t>(v)];
   e.loading = true;
+  sync_evictable_locked(e, v);  // an unpinned upgrade leaves the index
   const bool upgrade = e.resident;
   if (upgrade) {
     // Replacing the payload invalidates its buffers; wait for outstanding
@@ -437,20 +445,23 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   // acquire of this group would sleep on cv_ for good (the deadlock the
   // failure-domain work exists to kill).
   struct LoadingGuard {
+    ResidencyCache& cache;
     std::unique_lock<std::mutex>& lk;
     Entry& e;
-    std::condition_variable& cv;
+    voxel::DenseVoxelId v;
     ~LoadingGuard() {
       if (!lk.owns_lock()) lk.lock();
       e.loading = false;
-      cv.notify_all();
+      cache.sync_evictable_locked(e, v);
+      cache.cv_.notify_all();
     }
-  } guard{lk, e, cv_};
+  } guard{*this, lk, e, v};
 
   lk.unlock();
   // Disk read + decode outside the lock: other groups stay acquirable and
-  // other fetches only serialize on the store's own file mutex. The typed
-  // read path never throws; errors come back as values.
+  // concurrent fetches of other groups proceed in parallel (the local file
+  // backend reads positionally). The typed read path never throws; errors
+  // come back as values.
   StreamResult<DecodedGroup> fetched = [&] {
     SGS_TRACE_SPAN("cache", "fetch", "group", static_cast<std::uint64_t>(v),
                    "tier", static_cast<std::uint64_t>(tier));
@@ -497,9 +508,10 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   e.group = fetched.take();
   e.tier = tier;
   if (!e.resident) {
+    // A first residency is the most recent use; an in-place upgrade keeps
+    // its stamp.
     e.resident = true;
-    lru_.push_front(v);
-    e.lru_it = lru_.begin();
+    e.stamp = ++clock_;
   }
   resident_bytes_ += e.group.resident_bytes();
   stats_.bytes_fetched += e.group.payload_bytes;
@@ -521,30 +533,36 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   return true;  // guard clears loading + notifies waiters
 }
 
-void ResidencyCache::touch_locked(Entry& e, voxel::DenseVoxelId v) {
-  if (e.lru_it != lru_.begin()) {
-    lru_.erase(e.lru_it);
-    lru_.push_front(v);
-    e.lru_it = lru_.begin();
+void ResidencyCache::sync_evictable_locked(Entry& e, voxel::DenseVoxelId v) {
+  const bool evictable =
+      e.resident && e.pins == 0 && e.plan_pins == 0 && !e.loading;
+  if (evictable == e.evictable) return;
+  if (evictable) {
+    evictable_.emplace(e.stamp, v);
+  } else {
+    evictable_.erase({e.stamp, v});
+  }
+  e.evictable = evictable;
+}
+
+void ResidencyCache::evict_over_budget_locked(Evicted& out) {
+  const std::uint64_t budget = budget_bytes_.load(std::memory_order_relaxed);
+  while (resident_bytes_ > budget && !evictable_.empty()) {
+    const voxel::DenseVoxelId v = evictable_.begin()->second;
+    evictable_.erase(evictable_.begin());
+    Entry& e = entries_[static_cast<std::size_t>(v)];
+    e.evictable = false;
+    e.resident = false;
+    resident_bytes_ -= e.group.resident_bytes();
+    out.groups.emplace_back(v, std::exchange(e.group, DecodedGroup{}));
+    ++stats_.evictions;
   }
 }
 
-void ResidencyCache::evict_over_budget_locked() {
-  auto it = lru_.end();
-  const std::uint64_t budget = budget_bytes_.load(std::memory_order_relaxed);
-  while (resident_bytes_ > budget && it != lru_.begin()) {
-    --it;
-    Entry& e = entries_[static_cast<std::size_t>(*it)];
-    if (e.pins > 0 || e.plan_pins > 0 || e.loading) {
-      continue;  // protected (or mid-upgrade); try next-older
-    }
-    resident_bytes_ -= e.group.resident_bytes();
-    e.group = DecodedGroup{};  // frees the decoded buffers
-    e.resident = false;
-    SGS_TRACE_INSTANT("cache", "evict", "group",
-                      static_cast<std::uint64_t>(*it));
-    it = lru_.erase(it);
-    ++stats_.evictions;
+ResidencyCache::Evicted::~Evicted() {
+  for (const auto& [v, group] : groups) {
+    SGS_TRACE_INSTANT("cache", "evict", "group", static_cast<std::uint64_t>(v),
+                      "reason", static_cast<std::uint64_t>(reason));
   }
 }
 

@@ -21,6 +21,19 @@
 // end_frame) is implemented on top of that pair. Pinned groups may push
 // residency above the budget; the overshoot drains at the next unpin.
 //
+// Eviction index: the cache keeps an ordered set of the EVICTABLE groups
+// only (resident, pins == 0, plan_pins == 0, not loading), keyed by
+// (recency stamp, group id). A stamp comes from a logical clock at a
+// group's first residency and is bumped on every acquire; an in-place
+// upgrade keeps it. Groups enter and leave the set only on the 0<->1
+// transitions of pins and plan_pins and on the loading toggles, so a hit
+// is a stamp bump and an eviction pass pops victims from the set's head:
+// O(log n) per victim, nothing at all when every resident group is
+// pinned. Victims are exactly those of a strict-LRU walk that skips
+// protected groups. A pass only unlinks its victims under the mutex; their
+// decoded buffers are freed, and their cache/evict instants (with the
+// reason arg) emitted, after the lock drops.
+//
 // The budget counts decoded in-memory bytes (DecodedGroup::resident_bytes),
 // while bytes_fetched counts on-disk payload bytes — the two sides of the
 // memory/traffic trade the simulator prices.
@@ -32,7 +45,8 @@
 // path). Multi-session callers must take their pins through pin_plan /
 // unpin_plan with per-session working sets (serve::SessionSource does).
 // Fetches (disk read + decode) run *outside* the lock with the entry
-// marked `loading`, so concurrent acquires of other groups proceed, and
+// marked `loading`, so concurrent acquires and fetches of other groups
+// proceed (a LocalFileBackend reads positionally, without a lock), and
 // concurrent acquires of the *same* group sleep on a condition variable
 // instead of fetching twice (no double-decode, ever). pin/unpin/acquire/
 // release never block on disk unless they themselves miss.
@@ -89,11 +103,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "stream/asset_store.hpp"
@@ -336,8 +350,12 @@ class ResidencyCache final : public GroupSource {
     int plan_pins = 0;  // in-flight FramePlans claiming this group (union
                         // of all sessions' working sets)
     bool loading = false;  // fetch in flight; waiters sleep on cv_
-    std::list<voxel::DenseVoxelId>::iterator lru_it;  // valid when resident
     bool resident = false;
+    // Recency: the logical clock value of the group's first residency or
+    // latest touch (valid when resident). `evictable` mirrors membership
+    // in evictable_, keyed (stamp, group id).
+    std::uint64_t stamp = 0;
+    bool evictable = false;
     // Failure state, PER TIER (disk errors are tier-scoped: a corrupt L0
     // payload must not poison the group's healthy L1/L2): consecutive
     // failed fetch attempts, the denied-request countdown until the next
@@ -368,10 +386,33 @@ class ResidencyCache final : public GroupSource {
   // (single-threaded: no lock, no loading marks). All-or-nothing against
   // the floor budget; per-group read errors only leave holes.
   void pin_coarse_floor();
-  void touch_locked(Entry& e, voxel::DenseVoxelId v);
-  void evict_over_budget_locked();
+  // Why an eviction pass ran: the `reason` arg of its cache/evict
+  // instants (docs/OBSERVABILITY.md).
+  enum class EvictReason : std::uint64_t { kUnpin = 0, kFetch = 1,
+                                           kRebalance = 2 };
+  // The groups one eviction pass unlinked. A caller declares it BEFORE
+  // taking mutex_, so it is destroyed after the lock drops: the decoded
+  // buffers are freed, and the cache/evict instants emitted, outside the
+  // critical section.
+  struct Evicted {
+    explicit Evicted(EvictReason why) : reason(why) {}
+    Evicted(const Evicted&) = delete;
+    Evicted& operator=(const Evicted&) = delete;
+    ~Evicted();
+    EvictReason reason;
+    std::vector<std::pair<voxel::DenseVoxelId, DecodedGroup>> groups;
+  };
+
+  // Brings e's membership in evictable_ in line with its state; called
+  // after every change to resident/pins/plan_pins/loading. Membership
+  // flips only on their 0<->1 transitions.
+  void sync_evictable_locked(Entry& e, voxel::DenseVoxelId v);
+  // Pops the least recently used evictable groups into `out` until
+  // residency fits the budget (or nothing evictable is left).
+  void evict_over_budget_locked(Evicted& out);
   void pin_plan_locked(std::span<const voxel::DenseVoxelId> voxels);
-  void unpin_plan_locked(std::span<const voxel::DenseVoxelId> voxels);
+  void unpin_plan_locked(std::span<const voxel::DenseVoxelId> voxels,
+                         Evicted& out);
 
   const AssetStore* store_;
   ResidencyCacheConfig config_;
@@ -383,7 +424,10 @@ class ResidencyCache final : public GroupSource {
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // signals fetch completion and pin drains
   std::vector<Entry> entries_;  // indexed by dense voxel id
-  std::list<voxel::DenseVoxelId> lru_;  // front = most recent
+  // The eviction index: exactly the evictable entries, least recently
+  // used first (stamps are unique, so the order is strict LRU).
+  std::set<std::pair<std::uint64_t, voxel::DenseVoxelId>> evictable_;
+  std::uint64_t clock_ = 0;  // last stamp handed out
   std::uint64_t resident_bytes_ = 0;
   // Working set of the legacy single-session bracket (begin/end_frame).
   std::vector<voxel::DenseVoxelId> frame_pins_;

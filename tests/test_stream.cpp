@@ -15,12 +15,15 @@
 #include <fstream>
 #include <iterator>
 #include <list>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "core/render_sequence.hpp"
 #include "core/streaming_renderer.hpp"
 #include "metrics/psnr.hpp"
+#include "obs/trace.hpp"
 #include "scene/generator.hpp"
 #include "stream/asset_store.hpp"
 #include "stream/fetch_backend.hpp"
@@ -474,6 +477,53 @@ TEST(ResidencyCache, HitsMissesAndLruEviction) {
   EXPECT_TRUE(cache.resident(3));
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().bytes_fetched, 4 * store.entry(0).bytes);
+}
+
+TEST(ResidencyCache, EvictInstantsCarryTheirReason) {
+  const auto scene = uniform_groups_scene(8);
+  TempFile file("/tmp/sgs_test_evict_reason.sgsc");
+  ASSERT_TRUE(AssetStore::write(file.path, scene));
+  AssetStore store(file.path);
+  const std::uint64_t unit = store.read_group(0).resident_bytes();
+  ResidencyCacheConfig cfg;
+  cfg.budget_bytes = 2 * unit;
+  ResidencyCache cache(store, cfg);
+  auto touch = [&cache](voxel::DenseVoxelId v) {
+    cache.acquire(v);
+    cache.release(v);
+  };
+
+  obs::trace_reset();
+  obs::set_trace_enabled(true);
+  touch(0);
+  touch(1);
+  touch(2);             // fetch evicts 0
+  cache.prefetch(3);    // fetch evicts 1
+  const std::vector<voxel::DenseVoxelId> plan = {4, 5};
+  cache.pin_plan(plan);
+  touch(4);             // fetch evicts 2
+  touch(5);             // fetch evicts 3
+  cache.set_budget_bytes(unit);  // everything resident is pinned: no-op
+  cache.unpin_plan(plan);        // unpin evicts 4, the older of the two
+  cache.set_budget_bytes(0);     // rebalance evicts 5
+  obs::set_trace_enabled(false);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> evicts;
+  for (const obs::ThreadTrace& t : obs::trace_collect()) {
+    for (const obs::TraceEvent& e : t.events) {
+      if (std::string(e.name) != "evict") continue;
+      ASSERT_STREQ(e.arg0_name, "group");
+      ASSERT_STREQ(e.arg1_name, "reason");
+      evicts.emplace_back(e.arg0, e.arg1);
+    }
+  }
+  obs::trace_reset();
+  // reason: 0 = unpin, 1 = fetch, 2 = rebalance (docs/OBSERVABILITY.md).
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
+      {0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 0}, {5, 2}};
+  EXPECT_EQ(evicts, want);
+  EXPECT_EQ(cache.stats().evictions, 6u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
 }
 
 TEST(ResidencyCache, DeterministicUnderFixedRequestTrace) {
