@@ -5,8 +5,9 @@
 // that boundary explicit so the *transport* is swappable under one typed
 // failure contract:
 //
-//   - LocalFileBackend        one ifstream + mutex; bit-identical to the
-//                             pre-seam direct-file path.
+//   - LocalFileBackend        positional reads (pread) on one file
+//                             descriptor; concurrent reads never queue on
+//                             each other.
 //   - MemoryBackend           an in-memory byte image of a store; zero-cost
 //                             transfers (elapsed_ns == 0), handy for tests.
 //   - SimulatedNetworkBackend wraps another backend behind a deterministic
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,12 +86,17 @@ class FetchBackend {
   virtual FetchBackendStats stats() const = 0;
 };
 
-// The pre-seam behavior: one shared ifstream guarded by a mutex, reads
-// timed with the wall clock. Construction never throws — a missing file is
-// reported through open_error() / the first read_range.
+// A local .sgsc file read with positional reads (pread, retried on EINTR)
+// on one read-only file descriptor, timed with the wall clock. Reads share
+// no file position, so concurrent demand misses proceed in parallel; the
+// mutex guards only the stats. Construction never throws — a missing file
+// is reported through open_error() / the first read_range.
 class LocalFileBackend final : public FetchBackend {
  public:
   explicit LocalFileBackend(std::string path);
+  ~LocalFileBackend() override;
+  LocalFileBackend(const LocalFileBackend&) = delete;
+  LocalFileBackend& operator=(const LocalFileBackend&) = delete;
 
   StreamResult<FetchInfo> read_range(std::uint64_t offset,
                                      std::span<char> dst) override;
@@ -104,10 +109,10 @@ class LocalFileBackend final : public FetchBackend {
 
  private:
   std::string path_;
+  int fd_ = -1;  // -1 when the open failed
   std::uint64_t size_ = 0;
   std::optional<StreamError> open_error_;
-  mutable std::mutex mutex_;  // guards file_ and stats_
-  mutable std::ifstream file_;
+  mutable std::mutex mutex_;  // guards stats_
   FetchBackendStats stats_;
 };
 
