@@ -599,4 +599,13 @@ std::uint64_t SceneServer::shard_budget_bytes(std::uint32_t scene) const {
   return shards_.at(scene)->cache.budget_bytes();
 }
 
+std::vector<std::uint64_t> SceneServer::shard_budgets() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(shards_.size());
+  // Budgets only move inside rebalance_shards(), under this mutex.
+  std::lock_guard<std::mutex> lk(rebalance_mutex_);
+  for (const auto& shard : shards_) out.push_back(shard->cache.budget_bytes());
+  return out;
+}
+
 }  // namespace sgs::serve

@@ -427,10 +427,15 @@ class SceneServer {
   stream::ResidencyCache& cache(std::uint32_t scene = 0);
   const core::StreamingScene& scene() const;
   const core::StreamingScene& scene(std::uint32_t index) const;
-  // This shard's CURRENT byte share of the global budget. Across all
-  // shards these sum exactly to config().cache.budget_bytes, at every
-  // instant — the invariant the stress test samples mid-run.
+  // This shard's CURRENT byte share of the global budget. Between
+  // rebalances the shares sum exactly to config().cache.budget_bytes;
+  // during one they may sum to less (donors shrink before receivers
+  // grow), never to more. Reading several shards one call at a time can
+  // straddle a rebalance, so use shard_budgets() to compare shares.
   std::uint64_t shard_budget_bytes(std::uint32_t scene) const;
+  // Every shard's share (indexed by scene) in one read that no rebalance
+  // interleaves with: their sum never exceeds config().cache.budget_bytes.
+  std::vector<std::uint64_t> shard_budgets() const;
   const SceneServerConfig& config() const { return config_; }
 
  private:
@@ -469,7 +474,7 @@ class SceneServer {
   // Shard-budget governor state: frames committed (rebalance trigger),
   // last-rebalance access marks and the demand EWMA per shard.
   std::atomic<std::uint64_t> committed_frames_{0};
-  std::mutex rebalance_mutex_;
+  mutable std::mutex rebalance_mutex_;
   std::vector<std::uint64_t> shard_last_accesses_;
   std::vector<double> shard_demand_ewma_;
   // Lane-error baseline at construction: report() attributes only errors

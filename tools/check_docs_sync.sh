@@ -58,7 +58,7 @@ check_contract "serve admission contract" src/serve/scene_server.hpp \
   max_sessions try_open_session AdmissionResult AdmissionRejectReason \
   AdmissionRejectedError close_session admission_rejects
 check_contract "serve shard contract" src/serve/scene_server.hpp \
-  shard_budget_bytes shard_rebalance_frames scene_count
+  shard_budget_bytes shard_budgets shard_rebalance_frames scene_count
 
 # 5. The LOD tier surface: store tiers, tier selection, cache tagging.
 check_contract "LOD contract" src/stream/lod_policy.hpp \
