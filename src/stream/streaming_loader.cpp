@@ -172,7 +172,11 @@ std::uint64_t PrefetchPriorityQueue::expired() const {
 // ------------------------------------------------------- StreamingLoader --
 
 StreamingLoader::StreamingLoader(ResidencyCache& cache, PrefetchConfig config)
-    : cache_(&cache), config_(config) {}
+    : cache_(&cache),
+      config_(config),
+      slots_(std::make_unique<Slot[]>(
+          static_cast<std::size_t>(cache.store().group_count()))),
+      touched_(static_cast<std::size_t>(cache.store().group_count())) {}
 
 StreamingLoader::~StreamingLoader() { wait_idle(); }
 
@@ -214,15 +218,17 @@ void StreamingLoader::begin_frame(
   }
   // Even a camera-less frame drains: urgent re-queues from the previous
   // frame must not rot in a synchronous loader's queue.
-  if (queue_.pending() == 0) return;
-  if (config_.synchronous) {
-    drain_queue();
-  } else {
-    // One FIFO task per frame: fetches overlap this frame's rendering, and
-    // urgent re-queues pushed mid-frame are picked up by the same drain —
-    // or by the next frame's, whichever pops them first.
-    async_submit([this] { drain_queue(); });
+  if (queue_.pending() > 0) {
+    if (config_.synchronous) {
+      drain_queue();
+    } else {
+      // One FIFO task per frame: fetches overlap this frame's rendering,
+      // and urgent re-queues pushed mid-frame are picked up by the same
+      // drain — or by the next frame's, whichever pops them first.
+      async_submit([this] { drain_queue(); });
+    }
   }
+  in_frame_.store(true, std::memory_order_release);
 }
 
 void StreamingLoader::drain_queue() {
@@ -238,9 +244,70 @@ void StreamingLoader::drain_queue() {
   }
 }
 
-void StreamingLoader::end_frame() { cache_->end_frame(); }
+void StreamingLoader::end_frame() {
+  in_frame_.store(false, std::memory_order_relaxed);
+  // Every view of the frame has been released (the pipeline's workers are
+  // done), so each shared pin is returned exactly once.
+  const std::size_t touched =
+      touched_count_.exchange(0, std::memory_order_acquire);
+  for (std::size_t i = 0; i < touched; ++i) {
+    const voxel::DenseVoxelId v = touched_[i];
+    Slot& slot = slots_[static_cast<std::size_t>(v)];
+    if (slot.state.load(std::memory_order_relaxed) == Slot::kShared) {
+      cache_->release(v);
+    }
+    slot.state.store(Slot::kIdle, std::memory_order_relaxed);
+  }
+  cache_->end_frame();
+}
 
 GroupView StreamingLoader::acquire(voxel::DenseVoxelId v) {
+  if (!in_frame_.load(std::memory_order_acquire)) {
+    return acquire_from_cache(v).view;
+  }
+  Slot& slot = slots_[static_cast<std::size_t>(v)];
+  std::uint32_t state = slot.state.load(std::memory_order_acquire);
+  for (;;) {
+    if (state == Slot::kShared) {
+      shared_hits_[static_cast<std::size_t>(slot.tier)].fetch_add(
+          1, std::memory_order_relaxed);
+      return slot.view;
+    }
+    if (state == Slot::kDirect) return acquire_from_cache(v).view;
+    if (state == Slot::kLoading) {
+      slot.state.wait(Slot::kLoading, std::memory_order_acquire);
+      state = slot.state.load(std::memory_order_acquire);
+      continue;
+    }
+    if (slot.state.compare_exchange_weak(state, Slot::kLoading,
+                                         std::memory_order_acquire)) {
+      break;  // this worker makes the frame's one cache acquire of v
+    }
+  }
+  touched_[touched_count_.fetch_add(1, std::memory_order_relaxed)] = v;
+  AcquireOutcome outcome;
+  try {
+    outcome = acquire_from_cache(v);
+  } catch (...) {
+    // Never strand the workers waiting on this slot: they go to the cache.
+    slot.state.store(Slot::kDirect, std::memory_order_release);
+    slot.state.notify_all();
+    throw;
+  }
+  if (outcome.coarse_fallback || outcome.degraded) {
+    // Not shared: this acquire keeps its own pin, and every later acquire
+    // of v this frame goes to the cache, as it would without the table.
+    slot.state.store(Slot::kDirect, std::memory_order_release);
+  } else {
+    slot.tier = outcome.served_tier;
+    slot.view = outcome.view;
+    slot.state.store(Slot::kShared, std::memory_order_release);
+  }
+  slot.state.notify_all();
+  return outcome.view;
+}
+
+AcquireOutcome StreamingLoader::acquire_from_cache(voxel::DenseVoxelId v) {
   const int tier = selection_.tier_of(v);
   const AcquireOutcome outcome =
       cache_->acquire_outcome(v, tier, frame_deadline_ns_);
@@ -269,13 +336,26 @@ GroupView StreamingLoader::acquire(voxel::DenseVoxelId v) {
       // begin_frame drains it.
     }
   }
-  return outcome.view;
+  return outcome;
 }
 
-void StreamingLoader::release(voxel::DenseVoxelId v) { cache_->release(v); }
+void StreamingLoader::release(voxel::DenseVoxelId v) {
+  // A shared view's pin belongs to the frame; end_frame returns it.
+  if (in_frame_.load(std::memory_order_acquire) &&
+      slots_[static_cast<std::size_t>(v)].state.load(
+          std::memory_order_relaxed) == Slot::kShared) {
+    return;
+  }
+  cache_->release(v);
+}
 
 core::StreamCacheStats StreamingLoader::stats() const {
   core::StreamCacheStats s = cache_->stats();
+  for (std::size_t t = 0; t < shared_hits_.size(); ++t) {
+    const std::uint64_t n = shared_hits_[t].load(std::memory_order_relaxed);
+    s.hits += n;
+    s.tier_hits[t] += n;
+  }
   // Demotion is a front-end decision: the shared cache's counter stays 0,
   // this loader reports the demotions its own frames accumulated.
   s.abr_demotions = abr_demotions_.load(std::memory_order_relaxed);

@@ -1,15 +1,16 @@
 // StreamingLoader: prefetch-driven GroupSource for out-of-core rendering —
 // plus the shared, session-aware fetch queue a multi-viewer server uses.
 //
-// StreamingLoader decorates a ResidencyCache: acquire/release/pinning pass
-// straight through, and begin_frame() additionally (a) selects a payload
-// tier per plan group through its LodPolicy — acquire() then requests that
-// tier, so distant groups stream importance-pruned subsets — and (b) ranks
-// the store's fetch-worthy voxel groups by predicted visibility for the
-// frame's camera — inflated by the caller's motion envelope, so groups
-// about to enter the frustum are fetched *before* the frame that needs
-// them — and fetches the best-ranked ones on the pool's async lane while
-// the frame renders on the main workers. A demand miss still stalls the
+// StreamingLoader decorates a ResidencyCache: pinning passes straight
+// through, acquire/release go through a per-frame view table (below), and
+// begin_frame() additionally (a) selects a payload tier per plan group
+// through its LodPolicy — acquire() then requests that tier, so distant
+// groups stream importance-pruned subsets — and (b) ranks the store's
+// fetch-worthy voxel groups by predicted visibility for the frame's camera
+// — inflated by the caller's motion envelope, so groups about to enter the
+// frustum are fetched *before* the frame that needs them — and fetches the
+// best-ranked ones on the pool's async lane while the frame renders on the
+// main workers. A demand miss still stalls the
 // render worker that hits it; the loader's job is making those stalls rare.
 //
 // Ranking (rank_prefetch_groups): a group is a candidate when its directory
@@ -40,15 +41,44 @@
 // drain is fetched no later than that drain, regardless of which session
 // or scene pushed it.
 //
+// Frame view table (memory-centric acquires): the pipeline acquires every
+// voxel group once per pixel group, but inside a begin_frame/end_frame
+// bracket StreamingLoader touches its cache ONCE per group. It keeps one
+// slot per dense voxel id. The first acquire of a group in the frame calls
+// ResidencyCache::acquire_outcome, publishes the view and its served tier
+// in the slot, and keeps that single cache pin until end_frame. Later
+// acquires of the group, from any worker, return the published view
+// without taking the cache mutex; while the first is still in flight they
+// wait on the slot (as they would wait on the cache's `loading` mark), and
+// release() of a shared group is a no-op. end_frame releases each shared
+// pin once, resets only the touched slots, then ends the cache's frame.
+// Shared serves count as hits at the served tier in stats(), so hits +
+// misses still equal the pipeline's acquires. Deadline fallbacks and
+// degraded serves are NOT shared: every acquire of such a group in that
+// frame goes to the cache exactly as it would without the table. Outside a
+// bracket, acquire and release pass straight through.
+//
+// Holding a pin for the whole frame is safe because the loader is its
+// cache's only bracket driver and its tier selection fixes one tier per
+// group per frame: no acquire inside the frame wants to upgrade a group
+// whose pin the frame holds, and the prefetcher skips upgrades of pinned
+// groups. Views served inside a bracket must be released before end_frame
+// (the pipeline does), and a view acquired outside one must be released
+// outside one. Under a finite
+// fetch deadline, a worker that finds a group's first acquire still
+// fetching waits for that fetch instead of falling back at the deadline.
+//
 // Thread-safety: StreamingLoader assumes one driving session (its frame
 // bracket is the single-session GroupSource contract), but its fetches run
 // concurrently with render workers. SharedPrefetchQueue::enqueue and both
 // classes' fallback re-queues are safe from any number of threads.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -306,10 +336,33 @@ class StreamingLoader final : public GroupSource {
   const PrefetchConfig& config() const { return config_; }
 
  private:
+  // One view-table slot per dense voxel id (see the header comment).
+  struct Slot {
+    static constexpr std::uint32_t kIdle = 0;     // not acquired this frame
+    static constexpr std::uint32_t kLoading = 1;  // first acquire in flight
+    static constexpr std::uint32_t kShared = 2;   // view published, pinned
+    static constexpr std::uint32_t kDirect = 3;   // fallback/degraded: every
+                                                  // acquire goes to the cache
+    std::atomic<std::uint32_t> state{kIdle};
+    int tier = 0;  // served tier of the shared view
+    GroupView view;
+  };
+
   void drain_queue();
+  // The cache path: one acquire_outcome plus the loader's own accounting
+  // (link estimate, once-per-frame fallback count and urgent re-queue).
+  AcquireOutcome acquire_from_cache(voxel::DenseVoxelId v);
 
   ResidencyCache* cache_;
   PrefetchConfig config_;
+  // The view table. `in_frame_` is set between begin_frame and end_frame;
+  // touched_[0, touched_count_) are the slots that left kIdle this frame.
+  std::unique_ptr<Slot[]> slots_;
+  std::vector<voxel::DenseVoxelId> touched_;
+  std::atomic<std::size_t> touched_count_{0};
+  std::atomic<bool> in_frame_{false};
+  // Shared serves per served tier (cache hits the cache never saw).
+  std::array<std::atomic<std::uint64_t>, core::kLodTierCount> shared_hits_{};
   TierSelection selection_;  // tier_by_group consulted by acquire()
   PrefetchPriorityQueue queue_;
   // Link estimate fed by every completed transfer this loader triggered;

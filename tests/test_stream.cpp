@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -2238,6 +2239,154 @@ TEST(OutOfCoreGolden, PoisonedGroupWithFloorStaysZeroStallAndBalancesPins) {
   // are unevictable — a leak would wedge residency above budget forever).
   cache.unpin_plan({});
   EXPECT_LE(cache.resident_bytes(), ccfg.budget_bytes);
+}
+
+
+// ------------------------------------------------------- frame view table --
+//
+// Inside a frame bracket the loader touches its cache once per group: the
+// pipeline's repeated acquires of a group share the first acquire's view
+// and pin. A counting wrapper sits between the renderer and the loader.
+
+class CountingSource final : public GroupSource {
+ public:
+  CountingSource(StreamingLoader& loader, std::size_t groups)
+      : loader_(loader), seen_(std::make_unique<std::atomic<bool>[]>(groups)),
+        groups_(groups) {}
+
+  void begin_frame(const FrameIntent& intent,
+                   std::span<const voxel::DenseVoxelId> plan) override {
+    for (std::size_t i = 0; i < groups_; ++i) seen_[i] = false;
+    distinct_ = 0;
+    cache_before_ = loader_.cache().stats();
+    loader_.begin_frame(intent, plan);
+  }
+  void end_frame() override {
+    loader_.end_frame();
+    const core::StreamCacheStats d =
+        loader_.cache().stats().delta_since(cache_before_);
+    frames_.push_back({distinct_.load(), d.hits + d.misses});
+  }
+  GroupView acquire(voxel::DenseVoxelId v) override {
+    acquires_.fetch_add(1);
+    if (!seen_[static_cast<std::size_t>(v)].exchange(true)) ++distinct_;
+    return loader_.acquire(v);
+  }
+  void release(voxel::DenseVoxelId v) override { loader_.release(v); }
+  core::StreamCacheStats stats() const override { return loader_.stats(); }
+
+  struct Frame {
+    std::uint64_t distinct_groups;  // groups the pipeline acquired
+    std::uint64_t cache_accesses;   // the cache's own hits + misses
+  };
+  const std::vector<Frame>& frames() const { return frames_; }
+  std::uint64_t acquires() const { return acquires_.load(); }
+
+ private:
+  StreamingLoader& loader_;
+  std::unique_ptr<std::atomic<bool>[]> seen_;
+  std::size_t groups_;
+  std::atomic<std::uint64_t> distinct_{0};
+  std::atomic<std::uint64_t> acquires_{0};
+  core::StreamCacheStats cache_before_;
+  std::vector<Frame> frames_;
+};
+
+TEST(StreamingLoader, OneCacheAcquirePerGroupPerFrame) {
+  const int saved = parallelism();
+  set_parallelism(4);
+  const auto scene = test_scene(63, 2500, /*vq=*/true);
+  TempFile file("/tmp/sgs_test_view_table.sgsc");
+  write_floor_store(file.path, scene);
+  AssetStore store(file.path);
+  const auto cameras = orbit_trajectory(6, 128);
+  const auto resident = core::render_sequence(scene, cameras, {});
+  const auto groups = static_cast<std::size_t>(store.group_count());
+
+  // Budget well below the scene: the walk evicts and refetches.
+  {
+    ResidencyCacheConfig ccfg;
+    ccfg.budget_bytes = store.decoded_bytes_total() * 35 / 100;
+    ResidencyCache cache(store, ccfg);
+    PrefetchConfig pcfg;
+    pcfg.lod.force_tier0 = true;
+    StreamingLoader loader(cache, pcfg);
+    CountingSource counting(loader, groups);
+    const auto scene_ooc = store.make_scene();
+    const auto ooc = core::render_sequence(scene_ooc, cameras, {}, &counting);
+    loader.wait_idle();
+
+    ASSERT_EQ(counting.frames().size(), cameras.size());
+    std::uint64_t distinct = 0;
+    core::StreamCacheStats total;
+    for (std::size_t f = 0; f < cameras.size(); ++f) {
+      EXPECT_EQ(ooc.frames[f].image.pixels(), resident.frames[f].image.pixels())
+          << "frame " << f;
+      // One cache acquire per group per frame, whichever worker came first.
+      EXPECT_EQ(counting.frames()[f].cache_accesses,
+                counting.frames()[f].distinct_groups)
+          << "frame " << f;
+      distinct += counting.frames()[f].distinct_groups;
+      total.accumulate(ooc.frames[f].trace.cache);
+    }
+    // Shared serves are hits: the loader's counters still add up to the
+    // pipeline's acquires, and most acquires were shared.
+    const core::StreamCacheStats s = loader.stats();
+    EXPECT_EQ(s.hits + s.misses, counting.acquires());
+    EXPECT_EQ(total.hits + total.misses, counting.acquires());
+    EXPECT_GT(counting.acquires(), distinct);
+    EXPECT_GT(total.misses, 0u);
+    EXPECT_GT(total.evictions, 0u);
+    // Pins balance at quiescence: with a zero budget nothing stays resident.
+    cache.set_budget_bytes(0);
+    EXPECT_EQ(cache.resident_bytes(), 0u);
+  }
+
+  // Coarse floor and a zero deadline: deadline fallbacks are not shared,
+  // every acquire of such a group goes to the cache. No frame stalls, and
+  // pins still balance.
+  {
+    ResidencyCacheConfig ccfg;
+    ccfg.budget_bytes = store.decoded_bytes_total() * 35 / 100;
+    ccfg.coarse_floor_budget_bytes = store.decoded_bytes_total();
+    ResidencyCache cache(store, ccfg);
+    ASSERT_TRUE(cache.coarse_floor_enabled());
+    PrefetchConfig pcfg;
+    pcfg.lod.force_tier0 = true;
+    pcfg.max_bytes_per_frame = store.payload_bytes_total() / 16;
+    pcfg.fetch_deadline_ns = 0;
+    StreamingLoader loader(cache, pcfg);
+    CountingSource counting(loader, groups);
+    const auto scene_ooc = store.make_scene();
+    const auto ooc = core::render_sequence(scene_ooc, cameras, {}, &counting);
+    loader.wait_idle();
+
+    std::uint64_t distinct = 0, cache_accesses = 0;
+    core::StreamCacheStats total;
+    for (std::size_t f = 0; f < cameras.size(); ++f) {
+      const core::StreamCacheStats& cs = ooc.frames[f].trace.cache;
+      EXPECT_EQ(cs.misses, 0u) << "frame " << f;
+      if (cs.coarse_fallbacks == 0) {
+        EXPECT_EQ(ooc.frames[f].image.pixels(),
+                  resident.frames[f].image.pixels())
+            << "frame " << f;
+      }
+      EXPECT_GE(counting.frames()[f].cache_accesses,
+                counting.frames()[f].distinct_groups);
+      distinct += counting.frames()[f].distinct_groups;
+      cache_accesses += counting.frames()[f].cache_accesses;
+      total.accumulate(cs);
+    }
+    EXPECT_GT(total.coarse_fallbacks, 0u);
+    EXPECT_EQ(cache.stats().coarse_fallbacks, total.coarse_fallbacks);
+    // Fallback groups went to the cache on every acquire.
+    EXPECT_GT(cache_accesses, distinct);
+    const core::StreamCacheStats s = loader.stats();
+    EXPECT_EQ(s.hits + s.misses, counting.acquires());
+    cache.set_budget_bytes(0);
+    EXPECT_EQ(cache.resident_bytes(), 0u);
+  }
+  set_parallelism(saved);
 }
 
 }  // namespace
