@@ -14,7 +14,8 @@
 //
 // Contract: acquire() may be called concurrently from any pool worker; the
 // returned view stays valid until the matching release() (cache sources pin
-// the group in between). begin_frame()/end_frame() bracket one rendered
+// the group in between; a frame-scoped source such as StreamingLoader may
+// keep the pin until end_frame). begin_frame()/end_frame() bracket one rendered
 // frame: the source learns the camera, the caller's expected inter-frame
 // motion envelope, and the FramePlan's candidate voxels — everything a
 // prefetcher needs to fetch ahead and everything a cache needs to pin the

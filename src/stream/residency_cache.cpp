@@ -433,9 +433,11 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   const bool upgrade = e.resident;
   if (upgrade) {
     // Replacing the payload invalidates its buffers; wait for outstanding
-    // views to drain first. New acquires queue behind `loading`, and the
-    // pipeline holds at most one group per worker while waiting on none,
-    // so the drain cannot deadlock. Eviction skips loading entries.
+    // views to drain first. New acquires queue behind `loading`. The drain
+    // cannot deadlock: a frame-long pin (StreamingLoader's view table) is
+    // never upgraded from inside its own frame, and every other reader
+    // holds one group per worker while waiting on none (docs/
+    // ARCHITECTURE.md, "Cache locking"). Eviction skips loading entries.
     cv_.wait(lk, [&e] { return e.pins == 0; });
   }
   // RAII over the in-flight mark: `loading` is cleared and every waiter

@@ -5,6 +5,8 @@
 // group and returns its decoded view, fetching from the AssetStore on a
 // miss (a demand stall — the render worker blocks on the disk read). A
 // loader thread can warm the cache ahead of demand through prefetch().
+// StreamingLoader in front of the cache acquires each group once per frame
+// and shares that view with the frame's later acquires of the group.
 //
 // Entries are tier-tagged (LOD): each group is resident at exactly one
 // payload tier at a time. A request for tier t is satisfied by any
