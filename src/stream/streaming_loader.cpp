@@ -340,9 +340,9 @@ AcquireOutcome StreamingLoader::acquire_from_cache(voxel::DenseVoxelId v) {
 }
 
 void StreamingLoader::release(voxel::DenseVoxelId v) {
-  // A shared view's pin belongs to the frame; end_frame returns it.
-  if (in_frame_.load(std::memory_order_acquire) &&
-      slots_[static_cast<std::size_t>(v)].state.load(
+  // A shared view's pin belongs to the frame; end_frame returns it. (Every
+  // slot is idle outside a bracket.)
+  if (slots_[static_cast<std::size_t>(v)].state.load(
           std::memory_order_relaxed) == Slot::kShared) {
     return;
   }
