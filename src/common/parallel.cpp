@@ -103,16 +103,17 @@ class ThreadPool {
   void run(std::size_t begin, std::size_t end,
            const std::function<void(int, std::size_t)>& fn) {
     if (begin >= end) return;
-    const std::size_t count = end - begin;
-    const int width = std::min<std::size_t>(
-        static_cast<std::size_t>(parallelism()), count);
     if (t_inside_pool_job) {
-      // Nested call: serial, under the worker index this thread already
-      // owns, so per-worker arenas stay exclusive through nesting.
+      // Nested call (or an InlineLoopScope): serial, under the worker
+      // index this thread already owns, so per-worker arenas stay
+      // exclusive through nesting.
       const int worker = t_pool_worker_index;
       for (std::size_t i = begin; i < end; ++i) fn(worker, i);
       return;
     }
+    const std::size_t count = end - begin;
+    const int width = std::min<std::size_t>(
+        static_cast<std::size_t>(parallelism()), count);
     if (width <= 1) {
       // Serial path, but still behind submit_mutex_: a concurrent submitter
       // from another thread is running as worker 0 right now, and this
@@ -387,6 +388,19 @@ class AsyncLane {
 };
 
 }  // namespace
+
+// Reuses the nested-loop path: the thread looks like it is inside a pool
+// job, so ThreadPool::run takes the inline branch before any lock.
+InlineLoopScope::InlineLoopScope()
+    : prev_inside_(t_inside_pool_job), prev_worker_(t_pool_worker_index) {
+  if (!t_inside_pool_job) t_pool_worker_index = 0;
+  t_inside_pool_job = true;
+}
+
+InlineLoopScope::~InlineLoopScope() {
+  t_inside_pool_job = prev_inside_;
+  t_pool_worker_index = prev_worker_;
+}
 
 int parallelism() { return ThreadPool::instance().parallelism(); }
 

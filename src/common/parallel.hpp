@@ -13,10 +13,13 @@
 // overhead to one amortized atomic fetch-add.
 //
 // One job runs at a time; concurrent submitters (e.g. the per-session
-// threads of a serve::SceneServer) are serialized FIFO-fairly — jobs are
-// granted the pool strictly in arrival order, so no session can starve the
-// others by resubmitting quickly. See also the async FIFO lane below,
-// which runs *beside* jobs rather than between them.
+// threads of SceneServer::render_frame callers) are serialized FIFO-fairly
+// — jobs are granted the pool strictly in arrival order, so no session can
+// starve the others by resubmitting quickly. A thread with coarser work of
+// its own to overlap (a serve driver rendering one whole frame while other
+// drivers render theirs) skips the pool altogether under an
+// InlineLoopScope, below. See also the async FIFO lane, which runs
+// *beside* jobs rather than between them.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +43,8 @@ void set_parallelism(int n);
 
 // Invokes fn(i) for i in [begin, end). Blocks until all iterations complete.
 // fn must be safe to call concurrently for distinct i. With parallelism() == 1
-// (or a nested call from inside a worker) iterations run serially in order on
-// the calling thread.
+// (or a nested call from inside a worker, or under an InlineLoopScope)
+// iterations run serially in order on the calling thread.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 
@@ -55,9 +58,35 @@ void parallel_for_workers(
     std::size_t begin, std::size_t end,
     const std::function<void(int worker, std::size_t i)>& fn);
 
+// While an InlineLoopScope is alive, every parallel_for /
+// parallel_for_workers the constructing thread starts runs serially, in
+// order, on that thread under worker index 0 — through the same path a
+// nested loop takes inside a pool job. Inline loops take no FIFO ticket,
+// wait on no other submitter and count no pool job. A scope opened inside
+// a pool job keeps the enclosing job's worker index (the loops are already
+// inline there). The destructor restores the thread's previous state, so
+// scopes nest and may sit inside pool jobs.
+//
+// Index 0 is shared by every inline thread and by the submitter of any
+// concurrent pool job, so the caller must own the per-worker state its
+// loops index: SceneServer::run drivers qualify because each session owns
+// its FrameScheduler arenas and one driver holds a session at a time.
+class InlineLoopScope {
+ public:
+  InlineLoopScope();
+  ~InlineLoopScope();
+  InlineLoopScope(const InlineLoopScope&) = delete;
+  InlineLoopScope& operator=(const InlineLoopScope&) = delete;
+
+ private:
+  bool prev_inside_;
+  int prev_worker_;
+};
+
 // Task-granular fairness observability (both monotone since process
 // start; nested loops count toward the enclosing job, not separately):
-// jobs the pool has completed, and the total nanoseconds submitters spent
+// jobs the pool has completed (inline loops count none), and the total
+// nanoseconds submitters spent
 // queued behind other jobs for the pool's FIFO ticket before their own job
 // started. With N sessions multiplexed over the pool, wait/jobs is the
 // average cross-session scheduling cost per frame task — the number a

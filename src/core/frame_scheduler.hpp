@@ -13,8 +13,11 @@
 // per-worker arenas are reused across calls, so render_frame must not be
 // invoked concurrently on the same instance. Distinct instances (e.g. one
 // per viewer session in a serve::SceneServer) may render concurrently:
-// their pool jobs serialize FIFO-fairly on the shared worker pool, and a
-// cache-backed `source` must itself be thread-safe (ResidencyCache is).
+// their pool jobs serialize FIFO-fairly on the shared worker pool, or,
+// under an InlineLoopScope (common/parallel.hpp), each frame runs
+// serially on its own thread in arena 0 — safe because no other thread
+// renders through this instance. A cache-backed `source` must itself be
+// thread-safe (ResidencyCache is).
 // Within a frame, the pipeline calls source->acquire()/release() from any
 // worker concurrently; every acquired view is released before the frame
 // returns, and plan-level pinning is the *caller's* job (the sequence

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -160,6 +161,9 @@ struct SceneServer::Session {
   // Frame state machine slot: the source flips the begin/end_frame edges,
   // the driver holding the session flips the rest.
   std::atomic<SessionState> state{SessionState::kReady};
+  // Held for a whole frame and while run() folds its throughput sample;
+  // report() takes it to read the session between frames.
+  mutable std::mutex frame_mutex;
   SessionSource source;
   core::SequenceRenderer renderer;
   obs::LogHistogram frame_ns;    // frame wall time; O(1) memory per session
@@ -307,6 +311,7 @@ core::StreamingRenderResult SceneServer::render_session_frame(
   SGS_TRACE_SPAN("serve", "session_frame", "session",
                  static_cast<std::uint64_t>(s.id), "queue_wait_ns",
                  queue_wait_ns);
+  std::lock_guard<std::mutex> frame(s.frame_mutex);
   s.state.store(SessionState::kPlanning, std::memory_order_relaxed);
   core::StreamingRenderResult result = s.renderer.render(camera);
   // Serving-host trace fields (SGST v9): which host shape produced this
@@ -415,7 +420,10 @@ ServerRunResult SceneServer::run(
   // bounded driver set. A driver checks one session out, renders exactly
   // one frame, checks it back in at the tail — FIFO rotation is the
   // fairness mechanism, the driver bound decouples session count from
-  // thread (and core) count.
+  // thread (and core) count. While enough frames are in play to fill the
+  // cores, a driver renders its frame itself, serially (InlineLoopScope):
+  // frames overlap instead of queuing whole on the shared pool. Only when
+  // fewer drivers or sessions than cores remain does a frame fan out.
   std::mutex m;
   std::condition_variable cv;
   std::deque<int> ready;
@@ -431,27 +439,31 @@ ServerRunResult SceneServer::run(
     ++live;
   }
 
+  const std::size_t cores = static_cast<std::size_t>(parallelism());
   const int drivers = static_cast<int>(std::min<std::size_t>(
-      paths.size(),
-      static_cast<std::size_t>(config_.max_concurrent_frames > 0
-                                   ? config_.max_concurrent_frames
-                                   : std::max(1, parallelism()))));
+      paths.size(), config_.max_concurrent_frames > 0
+                        ? static_cast<std::size_t>(config_.max_concurrent_frames)
+                        : cores));
 
   auto drive = [&](int d) {
     obs::set_thread_name("serve-driver-" + std::to_string(d));
     for (;;) {
       int si = -1;
+      bool serial = false;
       {
         std::unique_lock<std::mutex> lk(m);
         cv.wait(lk, [&] { return !ready.empty() || live == 0; });
         if (ready.empty()) return;
         si = ready.front();
         ready.pop_front();
+        serial = std::min(static_cast<std::size_t>(drivers), live) >= cores;
       }
       const std::size_t i = static_cast<std::size_t>(si);
       // next_frame/ready_since were last written under the lock we just
       // popped under; this driver is now the session's sole holder.
       const std::uint64_t qw = core::stage_clock_ns() - ready_since[i];
+      std::optional<InlineLoopScope> inline_loops;
+      if (serial) inline_loops.emplace();
       out.sessions[i].push_back(
           render_session_frame(*driven[i], paths[i][next_frame[i]], qw));
       {
@@ -476,6 +488,7 @@ ServerRunResult SceneServer::run(
 
   for (std::size_t i = 0; i < paths.size(); ++i) {
     if (paths[i].empty()) continue;
+    std::lock_guard<std::mutex> frame(driven[i]->frame_mutex);
     driven[i]->driven_ns += last_commit[i] - t0;
     driven[i]->driven_frames += paths[i].size();
   }
@@ -490,6 +503,7 @@ ServerReport SceneServer::report() const {
     std::lock_guard<std::mutex> lk(sessions_mutex_);
     for (const auto& sp : sessions_) {
       const Session& s = *sp;
+      std::lock_guard<std::mutex> frame(s.frame_mutex);
       SessionReport sr;
       sr.frames = static_cast<std::size_t>(s.frame_ns.count());
       sr.latency = s.frame_ns;

@@ -1,5 +1,5 @@
 // SceneServer: N scenes behind per-scene residency shards, M viewer
-// sessions multiplexed onto the persistent pool, admission-controlled.
+// sessions multiplexed over a bounded driver set, admission-controlled.
 //
 // The paper's streaming design assumes a single viewer; a server room does
 // not. A SceneServer hosts one or more AssetStore-backed scenes — each with
@@ -28,9 +28,10 @@
 //       ready -> planning -> rendering -> committing -> ready   (-> closed)
 //     kReady: no frame in flight. kPlanning: a driver holds the session,
 //     the plan is being built/reused and tiers selected. kRendering: from
-//     SessionSource::begin_frame() on — the frame executes data-parallel
-//     on the pool. kCommitting: from end_frame() — pins dropped, counters
-//     and histograms folded in. kClosed: close_session() was called.
+//     SessionSource::begin_frame() on — the frame executes, inline on its
+//     driver or data-parallel on the pool (see run() below). kCommitting:
+//     from end_frame() — pins dropped, counters and histograms folded in.
+//     kClosed: close_session() was called.
 //   - run() does NOT spawn one thread per session. It multiplexes sessions
 //     over a bounded driver set (config.max_concurrent_frames, 0 = auto:
 //     min(paths, parallelism())). Ready sessions queue FIFO; a driver pops
@@ -39,7 +40,13 @@
 //     another (the fairness contract; ServerReport::fairness_index
 //     measures it, ServerReport::queue_wait_* prices it). One session is
 //     never held by two drivers, so its frames stay sequential and the
-//     bit-exactness invariant is untouched.
+//     bit-exactness invariant is untouched. While min(drivers, live
+//     sessions) >= parallelism(), a driver renders its frame serially on
+//     itself (common/parallel.hpp InlineLoopScope), so frames of
+//     different sessions overlap instead of queuing whole on the shared
+//     pool; with fewer frames in play than cores (one session, a small
+//     driver bound, the last round of a run) frames fan out on the pool.
+//     render_frame() always renders on the pool.
 //   - render_frame() is safe to call concurrently for *distinct* sessions.
 //     One session is sequential: its frames form one camera path.
 //   - open_session()/try_open_session()/close_session() are thread-safe
@@ -410,8 +417,12 @@ class SceneServer {
   // assignments) before calling run().
   ServerRunResult run(const std::vector<std::vector<gs::Camera>>& paths);
 
-  // Snapshot of per-session and global counters so far. Call only while no
-  // frame is in flight (between frames or after run()).
+  // Snapshot of per-session and global counters so far. Safe while frames
+  // are in flight (run() itself reports while render_frame() callers may be
+  // rendering joined sessions): each session is read between its frames —
+  // an in-flight frame is waited for — while the shard counters are read
+  // live, so they may already include an in-flight frame's traffic.
+  // Exact attribution sums hold when no frame is in flight.
   ServerReport report() const;
 
   // Blocks until all queued prefetch batches have landed.

@@ -143,17 +143,20 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
   AcquireOutcome out;
   out.group = v;
   out.requested_tier = tier;
-  // The deadline can only divert to a payload that exists: the pinned
-  // floor (immutable after construction) or a stale resident tier
-  // (re-checked at the decision points — residency moves while we wait).
+  // The deadline can only divert to a payload that exists and stays put:
+  // the pinned floor (immutable after construction) or a stale resident
+  // tier that no fetch is replacing (re-checked at the decision points —
+  // residency moves while we wait).
   const bool floor_here = coarse_floor_resident(v);
   bool fallback = false;
   for (;;) {
     if (e.loading) {
-      if (deadline_ns != kNoFetchDeadline && (floor_here || e.resident)) {
+      // `loading && resident` is an upgrade in flight: the resident payload
+      // is about to be freed, so only the floor may stand in for it.
+      if (deadline_ns != kNoFetchDeadline && floor_here) {
         // Someone else's fetch is in flight. Sleeping past the deadline is
         // exactly the stall the deadline exists to kill: wait only until
-        // it, then serve the fallback (the in-flight fetch still lands and
+        // it, then serve the floor (the in-flight fetch still lands and
         // serves future frames).
         const auto until = std::chrono::steady_clock::time_point(
             std::chrono::nanoseconds(deadline_ns));
@@ -234,7 +237,9 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
   // Pin on every path — including degraded empty views and floor serves —
   // so the caller's unconditional release() stays balanced.
   if (++e.pins == 1) sync_evictable_locked(e, v);
-  if (e.resident) {
+  // Only a timed-out wait leaves the loop with `loading` still set, and
+  // then the payload in e.group is being replaced: serve the floor.
+  if (e.resident && !e.loading) {
     e.stamp = ++clock_;  // pinned above, so not under an index key
     // Eviction runs only now, with the new entry pinned: with every other
     // group pinned the pass could otherwise evict the group this very call

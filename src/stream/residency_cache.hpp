@@ -243,9 +243,12 @@ class ResidencyCache final : public GroupSource {
   // in-flight fetch of this group is still loading at the deadline — and a
   // fallback payload exists (stale resident tier or pinned coarse floor),
   // the acquire serves that payload immediately instead of blocking
-  // (outcome.coarse_fallback, a HIT at the served tier). With nothing to
-  // fall back on (no floor, group absent) the blocking path runs even past
-  // the deadline — a deadline bounds stalls, it never invents pixels.
+  // (outcome.coarse_fallback, a HIT at the served tier). A stale tier that
+  // an in-flight upgrade is replacing does not count: its buffers are
+  // about to be freed, so only the floor stands in for it. With nothing to
+  // fall back on (no floor, group absent or mid-upgrade) the blocking path
+  // runs even past the deadline — a deadline bounds stalls, it never
+  // invents pixels and never serves a payload that is being freed.
   AcquireOutcome acquire_outcome(voxel::DenseVoxelId v, int tier = 0,
                                  std::uint64_t deadline_ns = kNoFetchDeadline);
 

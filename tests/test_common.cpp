@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "common/cli.hpp"
 #include "common/image.hpp"
@@ -392,6 +393,47 @@ TEST(Parallel, NestedParallelForRunsSeriallyWithoutDeadlock) {
     parallel_for(0, 4, [&](std::size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 16);
+  set_parallelism(saved);
+}
+
+TEST(Parallel, InlineLoopScopeRunsOnCallerAndRestores) {
+  const int saved = parallelism();
+  set_parallelism(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::uint64_t jobs0 = pool_jobs_completed();
+  {
+    InlineLoopScope scope;
+    std::vector<int> order;
+    parallel_for_workers(0, 10, [&](int worker, std::size_t i) {
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(static_cast<int>(i));
+    });
+    ASSERT_EQ(order.size(), 10u);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(pool_jobs_completed(), jobs0);  // inline loops take no job
+
+  // Opened inside a pool job, the scope keeps the enclosing worker index,
+  // and on exit the job's own nested-loop state is back.
+  std::atomic<bool> kept{true};
+  parallel_for_workers(0, 64, [&](int worker, std::size_t) {
+    {
+      InlineLoopScope scope;
+      parallel_for_workers(0, 2, [&](int w, std::size_t) {
+        if (w != worker) kept = false;
+      });
+    }
+    parallel_for_workers(0, 2, [&](int w, std::size_t) {
+      if (w != worker) kept = false;
+    });
+  });
+  EXPECT_TRUE(kept.load());
+  EXPECT_EQ(pool_jobs_completed(), jobs0 + 1);
+
+  // After the scope the thread submits to the pool again.
+  parallel_for(0, 100, [](std::size_t) {});
+  EXPECT_EQ(pool_jobs_completed(), jobs0 + 2);
   set_parallelism(saved);
 }
 

@@ -618,6 +618,69 @@ TEST(ServeMultiplexed, SessionsExceedDriverCountBitIdentical) {
   EXPECT_LE(rep.fairness_index, 1.0 + 1e-9);
 }
 
+// Pins the pool width for one test and restores it on exit.
+struct PoolWidth {
+  int saved = parallelism();
+  explicit PoolWidth(int n) { set_parallelism(n); }
+  ~PoolWidth() { set_parallelism(saved); }
+};
+
+// While every core has a frame, each driver renders its frame inline (no
+// pool job); only the final round, once fewer sessions than cores remain,
+// fans out — at most cores - 1 frames of at most 3 jobs (plan bin, plan
+// merge, render) each.
+TEST(ServeMultiplexed, FullFleetRendersFramesInlineOnTheirDrivers) {
+  PoolWidth width(4);
+  const auto scene = test_scene(41, 1500, /*vq=*/false);
+  TempFile file("/tmp/sgs_test_serve_inline.sgsc");
+  ASSERT_TRUE(stream::AssetStore::write(file.path, scene));
+  stream::AssetStore store(file.path);
+
+  const int n_sessions = 16;
+  const int frames = 4;
+  std::vector<std::vector<gs::Camera>> paths;
+  for (int s = 0; s < n_sessions; ++s) {
+    paths.push_back(session_path(s, frames, 64));
+  }
+  SceneServerConfig cfg;
+  cfg.cache.budget_bytes = store.decoded_bytes_total() * 35 / 100;
+  cfg.max_concurrent_frames = 4;
+  SceneServer server(store, cfg);
+  const std::uint64_t jobs0 = pool_jobs_completed();
+  const auto result = server.run(paths);
+  EXPECT_LE(pool_jobs_completed() - jobs0, 3u * (4u - 1u));
+
+  ASSERT_EQ(result.sessions.size(), paths.size());
+  for (int s = 0; s < n_sessions; ++s) {
+    const auto alone =
+        core::render_sequence(scene, paths[static_cast<std::size_t>(s)], {});
+    const auto& served = result.sessions[static_cast<std::size_t>(s)];
+    ASSERT_EQ(served.size(), alone.frames.size());
+    for (std::size_t f = 0; f < served.size(); ++f) {
+      EXPECT_EQ(served[f].image.pixels(), alone.frames[f].image.pixels())
+          << "session " << s << " frame " << f;
+    }
+  }
+}
+
+// One session on one driver cannot fill the cores: its frames keep
+// fanning out over the pool.
+TEST(ServeMultiplexed, LoneSessionStillUsesThePool) {
+  PoolWidth width(4);
+  const auto scene = test_scene(42, 1500, /*vq=*/false);
+  TempFile file("/tmp/sgs_test_serve_lone.sgsc");
+  ASSERT_TRUE(stream::AssetStore::write(file.path, scene));
+  stream::AssetStore store(file.path);
+
+  const int frames = 3;
+  SceneServer server(store);
+  const std::uint64_t jobs0 = pool_jobs_completed();
+  const auto result = server.run({session_path(0, frames, 64)});
+  EXPECT_GE(pool_jobs_completed() - jobs0, static_cast<std::uint64_t>(frames));
+  ASSERT_EQ(result.sessions.size(), 1u);
+  EXPECT_EQ(result.sessions[0].size(), static_cast<std::size_t>(frames));
+}
+
 // ----------------------------------------------------- multi-scene hosting --
 
 // Two DIFFERENT scenes behind one server: every session stays bit-identical

@@ -10,13 +10,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <list>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1942,6 +1948,170 @@ TEST(CoarseFloor, ExpiredDeadlineAcquireNeverBlocksAndNeverFetches) {
   // group) dedup belongs to frame-aware front-ends via
   // record_coarse_fallback() (so per-session counters sum to the global).
   EXPECT_EQ(s.coarse_fallbacks, 0u);
+}
+
+// Parks every read overlapping the armed byte range until open(): holds a
+// fetch mid-flight (the entry `loading`) for as long as a test needs while
+// other acquires of the same group run. Everything else reads through.
+class GatedBackend final : public FetchBackend {
+ public:
+  explicit GatedBackend(std::shared_ptr<FetchBackend> origin)
+      : origin_(std::move(origin)) {}
+
+  void arm(const TierExtent& range) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    lo_ = range.offset;
+    hi_ = range.offset + range.bytes;
+    armed_ = true;
+  }
+  // Blocks until a read is parked at the gate.
+  void wait_parked() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    cv_.wait(lk, [this] { return parked_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      armed_ = false;
+    }
+    cv_.notify_all();
+  }
+
+  StreamResult<FetchInfo> read_range(std::uint64_t offset,
+                                     std::span<char> dst) override {
+    {
+      std::unique_lock<std::mutex> lk(mutex_);
+      if (armed_ && offset < hi_ && offset + dst.size() > lo_) {
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lk, [this] { return !armed_; });
+      }
+    }
+    return origin_->read_range(offset, dst);
+  }
+  std::uint64_t size() const override { return origin_->size(); }
+  std::string describe() const override {
+    return "gated:" + origin_->describe();
+  }
+  FetchBackendStats stats() const override { return origin_->stats(); }
+
+ private:
+  std::shared_ptr<FetchBackend> origin_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t lo_ = 0, hi_ = 0;
+  bool armed_ = false;
+  bool parked_ = false;
+};
+
+// A view's position and opacity buffers, held raw from acquire on — the
+// way a pipeline stage holds them while it works on the group.
+struct HeldColumns {
+  std::span<const float> px, opacity;
+  explicit HeldColumns(const GroupView& view)
+      : px(view.cols->px.data() + view.first, view.size()),
+        opacity(view.cols->opacity.data() + view.first, view.size()) {}
+
+  // Every held value equals the store's decode of `tier`.
+  void expect_tier(const AssetStore& store, voxel::DenseVoxelId v,
+                   int tier) const {
+    const DecodedGroup want = store.read_group(v, tier);
+    ASSERT_EQ(px.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(px[k], want.cols.px[k]) << "resident " << k;
+      EXPECT_EQ(opacity[k], want.cols.opacity[k]) << "resident " << k;
+    }
+  }
+};
+
+// A group resident at L1 whose L0 upgrade is parked mid-read: the entry is
+// `loading && resident`, and the upgrade will replace (free) the L1
+// payload the moment its read lands.
+struct UpgradeInFlight {
+  std::unique_ptr<TempFile> file;
+  std::shared_ptr<GatedBackend> gate;
+  std::unique_ptr<AssetStore> store;
+  std::unique_ptr<ResidencyCache> cache;
+  voxel::DenseVoxelId v = 0;
+  std::thread upgrader;
+
+  UpgradeInFlight(const std::string& path, std::uint64_t seed, bool floor) {
+    const auto scene = test_scene(seed, 2500, /*vq=*/false);
+    file = std::make_unique<TempFile>(path);
+    AssetStoreWriteOptions wopts = AssetStoreWriteOptions::with_coarse_floor();
+    EXPECT_TRUE(AssetStore::write(path, scene, wopts));
+    gate = std::make_shared<GatedBackend>(
+        std::make_shared<LocalFileBackend>(path));
+    store = std::make_unique<AssetStore>(gate);
+    ResidencyCacheConfig ccfg;
+    if (floor) ccfg.coarse_floor_budget_bytes = store->decoded_bytes_total();
+    cache = std::make_unique<ResidencyCache>(*store, ccfg);
+    EXPECT_EQ(cache->coarse_floor_enabled(), floor);
+    v = densest_group(*store);
+    cache->acquire_outcome(v, 1);
+    cache->release(v);
+    EXPECT_EQ(cache->resident_tier(v), 1);
+    gate->arm(store->tier_extent(v, 0));
+    upgrader = std::thread([this] {
+      const AcquireOutcome up = cache->acquire_outcome(v, 0);
+      EXPECT_TRUE(up.upgraded);
+      cache->release(v);
+    });
+    gate->wait_parked();
+  }
+  ~UpgradeInFlight() {
+    if (upgrader.joinable()) {
+      gate->open();
+      upgrader.join();
+    }
+  }
+  UpgradeInFlight(const UpgradeInFlight&) = delete;
+  UpgradeInFlight& operator=(const UpgradeInFlight&) = delete;
+
+  // Lets the upgrade's read land and waits for it to install L0.
+  void finish() {
+    gate->open();
+    upgrader.join();
+    EXPECT_EQ(cache->resident_tier(v), 0);
+  }
+};
+
+TEST(CoarseFloor, DeadlineDuringUpgradeServesTheFloorNotTheFreedTier) {
+  UpgradeInFlight up("/tmp/sgs_test_floor_upgrade_race.sgsc", 58,
+                     /*floor=*/true);
+  // The deadline expires while the upgrade is parked. Serving the stale
+  // L1 here would hand out buffers the upgrade is about to free.
+  const AcquireOutcome out = up.cache->acquire_outcome(
+      up.v, 1, core::stage_clock_ns() + 5'000'000);
+  const HeldColumns held(out.view);
+  up.finish();
+  // Read the view's buffers only after the upgrade replaced the payload.
+  held.expect_tier(*up.store, up.v, out.served_tier);
+  up.cache->release(up.v);
+  EXPECT_TRUE(out.coarse_fallback);
+  EXPECT_EQ(out.served_tier, up.cache->coarse_tier());
+  EXPECT_EQ(out.bytes_fetched, 0u);
+}
+
+TEST(CoarseFloor, DeadlineDuringUpgradeWithoutFloorWaitsForTheUpgrade) {
+  UpgradeInFlight up("/tmp/sgs_test_nofloor_upgrade_race.sgsc", 59,
+                     /*floor=*/false);
+  AcquireOutcome out;
+  std::optional<HeldColumns> held;
+  std::thread reader([&] {
+    out = up.cache->acquire_outcome(up.v, 1,
+                                    core::stage_clock_ns() + 5'000'000);
+    held.emplace(out.view);
+  });
+  // Well past the reader's deadline: with no floor to stand in for the
+  // payload being replaced, the acquire keeps waiting for the upgrade.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  up.finish();
+  reader.join();
+  held->expect_tier(*up.store, up.v, out.served_tier);
+  up.cache->release(up.v);
+  EXPECT_FALSE(out.coarse_fallback);
+  EXPECT_EQ(out.served_tier, 0);
 }
 
 TEST(PrefetchPriorityQueue, PopsByPriorityThenGroupIdDeterministically) {
